@@ -7,8 +7,12 @@
 // metric space, so exactness is inherited rather than re-proved.
 //
 // Serialization wraps the concrete class's own format in a version-2
-// header (magic, version, metric tag, nested concrete stream); version-1
-// files — written before metrics were runtime-selectable — load as "l2".
+// header (magic, version, metric tag, nested concrete stream), or in a
+// version-4 header plus the code store when built with fp16/int8 storage;
+// version-1 files — written before metrics were runtime-selectable — load
+// as "l2". The concrete index is immutable once built, so a requested code
+// store is live for its whole life. Streaming insert/remove comes only from
+// the MutableIndex wrapper the registration below applies.
 #include <istream>
 #include <ostream>
 #include <variant>
@@ -90,13 +94,9 @@ class RbcExactBackend final : public Index {
 
   void save(std::ostream& os) const override {
     io::write_pod(os, io::kMagicExact);
-    // The header advertises a code store only when one is live (a store can
-    // be invalidated by concrete-level mutation; the float rows then serve
-    // every scan and the file degrades to the plain version-2 layout).
-    const quant::Storage live = live_storage();
-    io::write_storage_header(os, metric::name(kind_), quant::name(live));
+    io::write_storage_header(os, metric::name(kind_), quant::name(storage_));
     std::visit([&](const auto& index) { index.save(os); }, index_);
-    if (live != quant::Storage::kFloat32)
+    if (storage_ != quant::Storage::kFloat32)
       io::write_quantized_store(
           os, std::get<RbcExactIndex<Euclidean>>(index_).quantized_store());
   }
@@ -142,9 +142,16 @@ class RbcExactBackend final : public Index {
       backend->index_ = RbcExactIndex<L1>::load(is);
     else
       backend->index_ = RbcExactIndex<Euclidean>::load(is);
-    if (storage != quant::Storage::kFloat32)
+    if (storage != quant::Storage::kFloat32) {
+      quant::QuantizedStore store = io::read_quantized_store(is);
+      // The header tag is what info() reports; the codes must agree.
+      if (store.mode != storage)
+        throw std::runtime_error(
+            "rbc::io: corrupt rbc-exact stream (storage tag disagrees with "
+            "the code store)");
       std::get<RbcExactIndex<Euclidean>>(backend->index_)
-          .adopt_quantized_store(io::read_quantized_store(is));
+          .adopt_quantized_store(std::move(store));
+    }
     backend->params_ = std::visit(
         [](const auto& index) { return index.params(); }, backend->index_);
     backend->built_ = true;
@@ -157,7 +164,7 @@ class RbcExactBackend final : public Index {
     info.metric = metric::name(kind_);
     info.supported_metrics = metric::names(
         {metric::Kind::kL2, metric::Kind::kL1, metric::Kind::kCosine});
-    info.storage = quant::name(live_storage());
+    info.storage = quant::name(storage_);
     info.supported_storage = scan_storage_names(kind_);
     info.size = size();
     info.dim = dim();
@@ -185,14 +192,6 @@ class RbcExactBackend final : public Index {
   }
   index_t dim() const {
     return std::visit([](const auto& index) { return index.dim(); }, index_);
-  }
-  /// The storage mode actually backing scans right now: the requested mode
-  /// while the concrete code store is live, float32 once invalidated (or
-  /// for an empty build, where there are no codes to scan).
-  quant::Storage live_storage() const {
-    if (storage_ == quant::Storage::kFloat32) return storage_;
-    const auto& index = std::get<RbcExactIndex<Euclidean>>(index_);
-    return built_ && index.size() > 0 ? index.storage() : storage_;
   }
 
   metric::Kind kind_;

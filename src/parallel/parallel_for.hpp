@@ -3,8 +3,9 @@
 // These are thin, zero-allocation wrappers around OpenMP worksharing; they
 // exist so call sites express *what* is parallel (a range and a body) rather
 // than *how* (pragmas), and so a non-OpenMP build still compiles and runs
-// serially. Bodies must not share mutable state (CP.2) — use parallel_reduce
-// for accumulations.
+// serially. Bodies must not share mutable state (CP.2) — accumulate into
+// per-thread slots indexed by thread_id() (runtime.hpp) and combine them
+// after the loop, as the search paths' SearchStats do.
 #pragma once
 
 #include <cstdint>

@@ -733,13 +733,18 @@ void RbcServer::update_epoll(Connection& conn) {
 void RbcServer::close_conn(std::uint64_t conn_id, bool timed_out) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
-  close(it->second->fd);
+  const int fd = it->second->fd;
   conns_.erase(it);
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.connections_closed += 1;
-  if (timed_out) stats_.timeouts += 1;
-  stats_.connections_open = conns_.size();
+  // Publish before the effect: a peer that sees EOF must already be able
+  // to read the close (and its timeout) in stats().
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.connections_closed += 1;
+    if (timed_out) stats_.timeouts += 1;
+    stats_.connections_open = conns_.size();
+  }
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  close(fd);
 }
 
 void RbcServer::sweep_timeouts() {

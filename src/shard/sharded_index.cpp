@@ -4,6 +4,7 @@
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <shared_mutex>
 #include <stdexcept>
 #include <utility>
 

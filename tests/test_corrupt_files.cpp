@@ -5,10 +5,12 @@
 // composite, whose loader recurses through load_index per shard).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -432,6 +434,125 @@ TEST(CorruptFiles, LegacyVersion1FilesLoadAsL2) {
     EXPECT_EQ(index->info().backend, "sharded:bruteforce");
     EXPECT_EQ(index->info().metric, "l2");
     EXPECT_EQ(index->info().size, X.rows());
+  }
+}
+
+// The raw rbc-exact version-4 layout (header with storage tag, concrete
+// stream, code store) loads with its storage live and answers exactly; a
+// header tag that disagrees with the stored codes is corruption.
+TEST(CorruptFiles, RawVersion4RbcExactStreamsCheckTheStoreMode) {
+  const Matrix<float> X = testutil::clustered_matrix(80, 5, 3, 75);
+  const Matrix<float> Q = testutil::random_matrix(4, 5, 76);
+  auto fresh = make_index("bruteforce");
+  fresh->build(X);
+  const KnnResult expected = fresh->knn_search({.queries = &Q, .k = 3}).knn;
+
+  RbcExactIndex<Euclidean> concrete;
+  concrete.set_storage(quant::Storage::kFp16);
+  concrete.build(X, {.num_reps = 8, .seed = 77});
+  for (const char* tag : {"fp16", "int8"}) {
+    std::stringstream stream;
+    io::write_pod(stream, io::kMagicExact);
+    io::write_storage_header(stream, "l2", tag);
+    concrete.save(stream);
+    io::write_quantized_store(stream, concrete.quantized_store());
+    if (std::string(tag) == "int8") {
+      EXPECT_THROW((void)load_index(stream), std::runtime_error);
+      continue;
+    }
+    const auto index = load_index(stream);
+    EXPECT_EQ(index->info().storage, "fp16");
+    EXPECT_TRUE(testutil::knn_equal(
+        expected, index->knn_search({.queries = &Q, .k = 3}).knn));
+  }
+}
+
+// RbcExactIndex's format carries a dynamic-update section (next id,
+// tombstones, overflow rows and per-representative overflow lists) that
+// save() always writes empty. A stream whose section holds anything else
+// must fail at load — through the concrete version-1 rewind path and under
+// the version-2 backend header alike — before a search can index past the
+// end of one of its vectors.
+TEST(CorruptFiles, RbcExactDynamicUpdateStateIsRejected) {
+  const Matrix<float> X = testutil::clustered_matrix(90, 5, 3, 61);
+  RbcExactIndex<Euclidean> concrete;
+  concrete.build(X, {.num_reps = 8, .seed = 62});
+  std::stringstream saved;
+  concrete.save(saved);
+  const std::string bytes = saved.str();
+  const index_t n = X.rows();
+
+  struct Section {
+    index_t next_id = 0;
+    index_t tombstone_count = 0;
+    std::vector<std::uint8_t> tombstones;
+    std::vector<float> overflow_rows;
+    std::vector<index_t> overflow_ids;
+    std::vector<dist_t> overflow_dists;
+    std::vector<std::vector<index_t>> overflow_lists;
+  };
+  const auto encode = [](const Section& s) {
+    std::stringstream out;
+    io::write_pod(out, s.next_id);
+    io::write_pod(out, s.tombstone_count);
+    io::write_vec(out, s.tombstones);
+    io::write_vec(out, s.overflow_rows);
+    io::write_vec(out, s.overflow_ids);
+    io::write_vec(out, s.overflow_dists);
+    io::write_pod(out, static_cast<std::uint64_t>(s.overflow_lists.size()));
+    for (const auto& list : s.overflow_lists) io::write_vec(out, list);
+    return out.str();
+  };
+  Section clean;
+  clean.next_id = n;
+  clean.tombstones.assign(n, 0);
+  clean.overflow_lists.resize(concrete.num_reps());
+  const std::string clean_tail = encode(clean);
+  ASSERT_GT(bytes.size(), clean_tail.size());
+  const std::string head = bytes.substr(0, bytes.size() - clean_tail.size());
+  ASSERT_EQ(head + clean_tail, bytes)
+      << "save() no longer ends with the empty dynamic-update section";
+
+  Section erased_count = clean;
+  erased_count.tombstone_count = 1;
+  Section tombstone = clean;
+  tombstone.tombstones[n / 2] = 1;
+  Section short_tombstones = clean;
+  short_tombstones.tombstones.clear();
+  Section overflow = clean;  // one inserted row, as the retired API wrote it
+  overflow.overflow_rows.assign(Matrix<float>(1, X.cols()).stride(), 0.5f);
+  overflow.overflow_ids = {n};
+  overflow.overflow_dists = {0.25f};
+  overflow.overflow_lists[0] = {0};
+
+  // The bare concrete stream (version 1, which load_index rewinds into)
+  // and the same stream under the backend's version-2 metric header.
+  const auto streams = [&](const Section& section) {
+    const std::string v1 = head + encode(section);
+    std::stringstream v2;
+    io::write_pod(v2, io::kMagicExact);
+    io::write_metric_header(v2, "l2");
+    v2 << v1;
+    return std::make_pair(v1, v2.str());
+  };
+  {
+    const auto [v1, v2] = streams(clean);
+    std::stringstream legacy(v1), headed(v2);
+    EXPECT_NO_THROW((void)load_index(legacy));
+    EXPECT_NO_THROW((void)load_index(headed));
+  }
+  const std::vector<std::pair<const char*, Section>> cases = {
+      {"nonzero tombstone count", erased_count},
+      {"nonzero tombstone byte", tombstone},
+      {"tombstone vector shorter than n", short_tombstones},
+      {"one overflow row", overflow}};
+  for (const auto& [what, section] : cases) {
+    const auto [v1, v2] = streams(section);
+    std::stringstream legacy(v1), headed(v2);
+    EXPECT_THROW((void)load_index(legacy), std::runtime_error)
+        << what << " (version-1 stream)";
+    EXPECT_THROW((void)load_index(headed), std::runtime_error)
+        << what << " (version-2 stream)";
   }
 }
 

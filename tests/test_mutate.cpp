@@ -4,7 +4,8 @@
 // and range search over a mutated index. The cross-backend behavioral lock
 // (mutate-then-search vs a scratch rebuild, the uniform error contract,
 // mutated serialize round-trips) lives in tests/conformance.hpp; these
-// tests pin the mechanics the matrix can't see from the outside.
+// tests pin the mechanics the matrix can't see from the outside, plus a
+// seeded interleaved schedule checked with the matrix's own checkpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "conformance.hpp"
+#include "rbc/rbc_exact.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
 
@@ -144,6 +147,56 @@ TEST(MutableIndex, RangeSearchSeesDeltaAndMasksTombstones) {
     ASSERT_EQ(a.ids.size(), b.ids.size());
     for (std::size_t qi = 0; qi < a.ids.size(); ++qi)
       EXPECT_EQ(a.ids[qi], b.ids[qi]) << "radius=" << radius << " qi=" << qi;
+  }
+}
+
+// A seeded, interleaved insert/remove schedule on rbc-exact: bursts of
+// inserts (fresh ids) and removes (any id ever issued, live or not) between
+// checkpoints, with inline merges as the delta crosses max_delta. Each
+// checkpoint queries one row (the per-query path) and full tiles (the
+// blocked batch path; 64 rows take it whatever the thread count), so the
+// tombstone mask sits over both search paths, compared with a scratch
+// rebuild over the same live rows.
+TEST(MutableIndex, InterleavedScheduleMatchesScratchRebuild) {
+  const index_t dim = 6;
+  const Matrix<float> X0 = testutil::clustered_matrix(300, dim, 4, 14);
+  const Matrix<float> Q = testutil::random_matrix(64, dim, 15, -6.0f, 6.0f);
+  std::vector<Matrix<float>> batches;
+  for (const index_t rows :
+       {index_t{1}, RbcExactIndex<>::kBlockedMinBatch, index_t{64}})
+    batches.push_back(rows_of(Q, 0, rows));
+
+  for (const std::string metric : {"l2", "l1"}) {
+    SCOPED_TRACE("metric=" + metric);
+    IndexOptions options = inline_merge_options(32);
+    options.metric = metric;
+    options.rbc = {.num_reps = 14, .seed = 16};
+    auto index = make_index("rbc-exact", options);
+    index->build(X0);
+    conformance::MutationMirror mirror;
+    for (index_t i = 0; i < X0.rows(); ++i)
+      mirror[i] = std::vector<float>(X0.row(i), X0.row(i) + dim);
+
+    Rng rng(17);
+    index_t next_id = X0.rows();
+    for (int round = 0; round < 12; ++round) {
+      for (int op = 0; op < 40; ++op) {
+        if (rng.bernoulli(0.5)) {
+          Matrix<float> row(1, dim);
+          for (index_t j = 0; j < dim; ++j)
+            row.at(0, j) = rng.uniform_float(-6.0f, 6.0f);
+          const std::vector<index_t> id{next_id++};
+          index->insert(row, id);
+          mirror[id[0]] = std::vector<float>(row.row(0), row.row(0) + dim);
+        } else {
+          const std::vector<index_t> id{rng.uniform_index(next_id)};
+          EXPECT_EQ(index->remove(id), mirror.erase(id[0]));
+        }
+      }
+      for (const Matrix<float>& batch : batches)
+        conformance::verify_mutation_checkpoint(*index, "rbc-exact", options,
+                                                mirror, batch);
+    }
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <shared_mutex>
+#include <thread>
 #include <vector>
 
+#include "parallel/fair_shared_mutex.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/parallel_reduce.hpp"
 #include "parallel/runtime.hpp"
 
 namespace rbc {
@@ -53,38 +57,6 @@ TEST(ParallelForBlocked, GrainBelowOneIsClamped) {
   EXPECT_EQ(total.load(), 10);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  const index_t n = 100'000;
-  const auto sum = parallel_reduce<std::uint64_t>(
-      0, n, 0,
-      [](std::uint64_t acc, index_t i) { return acc + i; },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(n - 1) * n / 2);
-}
-
-TEST(ParallelArgmin, FindsGlobalMinimum) {
-  const index_t n = 50'000;
-  std::vector<float> values(n);
-  for (index_t i = 0; i < n; ++i)
-    values[i] = static_cast<float>((i * 2654435761u) % 100'000);
-  values[31'337] = -5.0f;
-  const auto result = parallel_argmin<float>(
-      0, n, std::numeric_limits<float>::infinity(),
-      [&](index_t i) { return values[i]; });
-  EXPECT_EQ(result.index, 31'337u);
-  EXPECT_EQ(result.value, -5.0f);
-}
-
-TEST(ParallelArgmin, TiesResolveToSmallestIndex) {
-  std::vector<float> values(1000, 1.0f);
-  values[100] = 0.5f;
-  values[900] = 0.5f;
-  const auto result = parallel_argmin<float>(
-      0, 1000, std::numeric_limits<float>::infinity(),
-      [&](index_t i) { return values[i]; });
-  EXPECT_EQ(result.index, 100u);
-}
-
 TEST(Runtime, ThreadLimitRestores) {
   const int before = max_threads();
   {
@@ -101,6 +73,52 @@ TEST(Runtime, SingleThreadExecutionStillCoversRange) {
   parallel_for(0, n, [&](index_t i) { ++visits[i]; });
   EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0),
             static_cast<int>(n));
+}
+
+TEST(FairSharedMutex, ReadersShareWritersExclude) {
+  FairSharedMutex m;
+  std::shared_lock reader(m);
+  std::thread other([&] {
+    EXPECT_TRUE(m.try_lock_shared());
+    m.unlock_shared();
+    EXPECT_FALSE(m.try_lock());
+  });
+  other.join();
+  reader.unlock();
+  std::unique_lock writer(m);
+  std::thread blocked([&] { EXPECT_FALSE(m.try_lock_shared()); });
+  blocked.join();
+}
+
+// Readers that hold the shared lock back to back, always overlapping, leave
+// no moment without a reader; the writer must still get in, and promptly.
+// The readers give up after a deadline so a starving writer fails the test
+// instead of hanging it.
+TEST(FairSharedMutex, WriterIsNotStarvedByOverlappingReaders) {
+  using Clock = std::chrono::steady_clock;
+  FairSharedMutex m;
+  std::atomic<bool> writer_done{false};
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(20);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!writer_done.load() && Clock::now() < deadline) {
+        std::shared_lock lock(m);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  int writes = 0;
+  std::thread writer([&] {
+    for (int i = 0; i < 50 && Clock::now() < deadline; ++i) {
+      std::unique_lock lock(m);
+      ++writes;
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(writes, 50);
 }
 
 }  // namespace
